@@ -11,7 +11,12 @@ package scenario
 // emulated twin).
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -396,6 +401,137 @@ func fig3ShapedConfig() Config {
 	return cfg
 }
 
+// update rewrites testdata/golden_digests.json from the current code.
+// Use it only for an intended behaviour change, and say why in the
+// change log.
+var update = flag.Bool("update", false, "rewrite testdata/golden_digests.json from the current code")
+
+const goldenPath = "testdata/golden_digests.json"
+
+// goldenCases pins topology behaviour absolutely: each entry names a run
+// and renders it as a SHA-256 hex digest. Single-UE configs hash
+// compatDigest of Run; sharded topologies use TopologyResult.Digest.
+var goldenCases = map[string]func() string{
+	"fig3":              func() string { return compatSHA(fig3ShapedConfig()) },
+	"fig7-5g":           func() string { return compatSHA(fig7Config()) },
+	"fig7-emulated":     func() string { return compatSHA(fig7EmulatedConfig()) },
+	"wifi":              func() string { return compatSHA(variantConfig(func(c *Config) { c.Access = AccessWiFi })) },
+	"wired":             func() string { return compatSHA(variantConfig(func(c *Config) { c.Access = AccessWired })) },
+	"leo":               func() string { return compatSHA(variantConfig(func(c *Config) { c.Access = AccessLEO })) },
+	"masked-ecn-inject": func() string { return compatSHA(maskedECNConfig()) },
+	"ntp-estimated":     func() string { return compatSHA(ntpConfig()) },
+	"sharded-seed1":     func() string { return RunTopology(shortShardedTopology(1)).Digest() },
+	"sharded-seed7":     func() string { return RunTopology(shortShardedTopology(7)).Digest() },
+}
+
+func compatSHA(cfg Config) string {
+	sum := sha256.Sum256([]byte(compatDigest(Run(cfg))))
+	return hex.EncodeToString(sum[:])
+}
+
+func loadGolden(t *testing.T) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("%s: %v", goldenPath, err)
+	}
+	return want
+}
+
+// checkGolden runs the named cases and diffs them against the committed
+// digests. Under -update it defers to TestGoldenDigestsFile.
+func checkGolden(t *testing.T, names ...string) {
+	t.Helper()
+	if *update {
+		t.Skip("-update: digests are rewritten by TestGoldenDigestsFile")
+	}
+	want := loadGolden(t)
+	for _, name := range names {
+		if got := goldenCases[name](); got != want[name] {
+			t.Errorf("%s: digest %s, golden %s (rerun with -update only for an intended behaviour change)",
+				name, got, want[name])
+		}
+	}
+}
+
+// TestGoldenDigestsFile keeps the manifest in step with goldenCases: it
+// must list exactly the cases, and -update regenerates it.
+func TestGoldenDigestsFile(t *testing.T) {
+	if *update {
+		got := make(map[string]string, len(goldenCases))
+		for name, digest := range goldenCases {
+			got[name] = digest()
+		}
+		raw, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want := loadGolden(t)
+	for name := range goldenCases {
+		if _, ok := want[name]; !ok {
+			t.Errorf("%s has no entry for case %q", goldenPath, name)
+		}
+	}
+	for name := range want {
+		if _, ok := goldenCases[name]; !ok {
+			t.Errorf("%s has stale entry %q", goldenPath, name)
+		}
+	}
+}
+
+// TestShardedGoldenDigests pins the multi-cell engine: three cells, a
+// handover and interference coupling, at two seeds.
+func TestShardedGoldenDigests(t *testing.T) {
+	checkGolden(t, "sharded-seed1", "sharded-seed7")
+}
+
+func fig7Config() Config {
+	cfg := Defaults()
+	cfg.Duration = 6 * time.Second
+	return cfg
+}
+
+func fig7EmulatedConfig() Config {
+	cfg := fig7Config()
+	cfg.Emulated = true
+	cfg.EmulatedSchedule = []units.ByteCount{cfg.RAN.SlotCapacity()}
+	return cfg
+}
+
+// variantConfig is a 3 s Defaults() run with one knob changed.
+func variantConfig(set func(*Config)) Config {
+	cfg := Defaults()
+	cfg.Duration = 3 * time.Second
+	set(&cfg)
+	return cfg
+}
+
+func maskedECNConfig() Config {
+	return variantConfig(func(c *Config) {
+		c.Controller = CtlMaskedGCC
+		c.ECN = true
+		c.Spikes = []Spike{{Start: time.Second, End: 2 * time.Second, Extra: 40 * time.Millisecond}}
+		c.Jitters = []JitterEpisode{{Start: 2 * time.Second, End: 3 * time.Second, Amp: 10 * time.Millisecond}}
+	})
+}
+
+func ntpConfig() Config {
+	return variantConfig(func(c *Config) {
+		c.EstimateOffsets = true
+		c.SenderClockOffset = 2 * time.Millisecond
+		c.ReceiverClockOffset = -1 * time.Millisecond
+	})
+}
+
 func assertGolden(t *testing.T, name string, cfg Config) {
 	t.Helper()
 	want := compatDigest(legacyRun(cfg))
@@ -410,6 +546,7 @@ func assertGolden(t *testing.T, name string, cfg Config) {
 // byte-identical to the monolith for the Fig 3 workload.
 func TestTopologyMatchesLegacyFig3(t *testing.T) {
 	assertGolden(t, "fig3", fig3ShapedConfig())
+	checkGolden(t, "fig3")
 }
 
 // TestTopologyMatchesLegacyFig7 covers the Fig 7 pair: the physical 5G
@@ -423,6 +560,7 @@ func TestTopologyMatchesLegacyFig7(t *testing.T) {
 	em.Emulated = true
 	em.EmulatedSchedule = []units.ByteCount{base.RAN.SlotCapacity()}
 	assertGolden(t, "fig7-emulated", em)
+	checkGolden(t, "fig7-5g", "fig7-emulated")
 }
 
 // TestTopologyMatchesLegacyVariants sweeps the remaining stage branches
@@ -453,4 +591,5 @@ func TestTopologyMatchesLegacyVariants(t *testing.T) {
 	ntp.SenderClockOffset = 2 * time.Millisecond
 	ntp.ReceiverClockOffset = -1 * time.Millisecond
 	assertGolden(t, "ntp-estimated", ntp)
+	checkGolden(t, "wifi", "wired", "leo", "masked-ecn-inject", "ntp-estimated")
 }
