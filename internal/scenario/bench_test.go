@@ -62,14 +62,16 @@ func itoa(n int) string {
 func BenchmarkTopologyCorrelate(b *testing.B) {
 	top := NewTopology(4)
 	top.Duration = 3 * time.Second
-	bld := runTopologyBuild(top)
+	builds := simulate(top)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bld.correlate()
-		for _, u := range bld.res.UEs {
-			if len(u.Report.Packets) == 0 {
-				b.Fatal("empty per-UE report")
+		for _, bld := range builds {
+			bld.correlate()
+			for _, u := range bld.res.UEs {
+				if len(u.Report.Packets) == 0 {
+					b.Fatal("empty per-UE report")
+				}
 			}
 		}
 	}

@@ -84,9 +84,17 @@ type shardPlan struct {
 // engine. UEs that never hand over leave their cells disconnected, and a
 // fully static N-cell topology yields N independent shards. Shards are
 // ordered by their smallest cell index, so shard 0 always contains cell
-// 0 — the plan is a pure function of the Topology value.
+// 0 — the plan is a pure function of the Topology value. A cell-less
+// topology (non-5G access) is one shard holding every UE.
 func planShards(top Topology) []shardPlan {
 	n := len(top.Cells)
+	if n == 0 {
+		plan := shardPlan{}
+		for ui := range top.UEs {
+			plan.ues = append(plan.ues, ui)
+		}
+		return []shardPlan{plan}
+	}
 	parent := make([]int, n)
 	for i := range parent {
 		parent[i] = i
@@ -134,88 +142,35 @@ func planShards(top Topology) []shardPlan {
 
 // shardSeed derives shard si's engine seed from the master seed. Shard 0
 // keeps the master seed itself, so a single-shard run is seeded exactly
-// like the single-cell path.
+// like the historical single-engine testbed.
 func shardSeed(seed int64, si int) int64 {
 	return seed + int64(si)*1_000_003
 }
 
-// validateCells panics on out-of-range cell references — misrouted UEs
-// would otherwise surface as nil-map lookups deep in the build.
+// validateCells panics on cells outside Access5G and on out-of-range
+// cell references — misrouted UEs would otherwise surface as nil-map
+// lookups deep in the build. A Cells-empty topology has one implicit
+// cell 0.
 func validateCells(top Topology) {
-	if top.Emulated || (top.Access != "" && top.Access != Access5G) {
+	if len(top.Cells) > 0 && !top.cellular() {
 		panic("scenario: Topology.Cells requires the Access5G path")
 	}
+	n := max(len(top.Cells), 1)
 	for i, u := range top.UEs {
-		if u.Cell < 0 || u.Cell >= len(top.Cells) {
-			panic(fmt.Sprintf("scenario: UE %d homed on cell %d of %d", i, u.Cell, len(top.Cells)))
+		if u.Cell < 0 || u.Cell >= n {
+			panic(fmt.Sprintf("scenario: UE %d homed on cell %d of %d", i, u.Cell, n))
 		}
 		for _, h := range u.Handovers {
-			if h.ToCell < 0 || h.ToCell >= len(top.Cells) {
-				panic(fmt.Sprintf("scenario: UE %d hands over to cell %d of %d", i, h.ToCell, len(top.Cells)))
+			if h.ToCell < 0 || h.ToCell >= n {
+				panic(fmt.Sprintf("scenario: UE %d hands over to cell %d of %d", i, h.ToCell, n))
 			}
 		}
 	}
 }
 
-// runShardedTopology executes a multi-cell topology: build one engine
-// per handover domain, advance them all under conservative time-window
-// sync (in parallel on a worker gang unless top.Serial), exchange
-// inter-cell interference load at every window barrier, then correlate
-// each shard and assemble the global result. Deterministic in Topology
-// alone: construction is serial in shard order, every engine is seeded
-// from the master seed, and barrier-time exchanges walk cells in global
-// order — so serial and parallel advancement produce byte-identical
-// digests.
-func runShardedTopology(top Topology) *TopologyResult {
-	validateCells(top)
-	if len(top.UEs) == 0 {
-		u := DefaultUE()
-		u.Seed = top.Seed
-		top.UEs = []UESpec{u}
-	}
-	if top.Lookahead <= 0 {
-		top.Lookahead = 10 * time.Millisecond
-	}
-	if top.HandoverGap <= 0 {
-		top.HandoverGap = 20 * time.Millisecond
-	}
-	metShardedRuns.Inc()
-
-	plans := planShards(top)
-	metShardCount.Set(int64(len(plans)))
-	builds := make([]*build, len(plans))
-	sims := make([]*sim.Simulator, len(plans))
-	for si, plan := range plans {
-		b := newBuildFor(top, shardSeed(top.Seed, si), plan.ues)
-		b.shardIdx = si
-		b.cellIdxs = plan.cells
-		b.s.Label(fmt.Sprintf("shard%d", si))
-		b.buildWiredPath()
-		b.buildAccess()
-		for _, ub := range b.ues {
-			b.buildEndpoint(ub)
-		}
-		b.buildProbes()
-		b.scheduleHandovers()
-		b.start()
-		builds[si] = b
-		sims[si] = b.s
-	}
-
-	sh := sim.NewShards(sims, top.Lookahead)
-	var g *sim.Gang
-	if !top.Serial && len(builds) > 1 {
-		g = sim.NewGang(len(builds))
-		defer g.Close()
-	}
-	sh.Advance(top.Duration, g, interferenceBarrier(builds))
-	for _, b := range builds {
-		b.stop()
-	}
-	for _, b := range builds {
-		b.correlate()
-	}
-	return assembleSharded(top, builds)
+// cellular reports whether the topology's access network is the 5G RAN.
+func (top Topology) cellular() bool {
+	return !top.Emulated && (top.Access == "" || top.Access == Access5G)
 }
 
 // interferenceBarrier returns the per-window exchange applied with every
@@ -231,7 +186,7 @@ func runShardedTopology(top Topology) *TopologyResult {
 func interferenceBarrier(builds []*build) func(time.Duration) {
 	var cells []*ran.RAN
 	for _, b := range builds {
-		cells = append(cells, b.cellList()...)
+		cells = append(cells, b.res.RANs...)
 	}
 	coupled := false
 	for _, c := range cells {
@@ -296,25 +251,16 @@ func (b *build) scheduleHandovers() {
 	}
 }
 
-// assembleSharded merges per-shard builds into the global result. UE
-// results land at their global index; the legacy top-level pointers
-// alias shard 0, which by construction holds cell 0.
-func assembleSharded(top Topology, builds []*build) *TopologyResult {
+// assemble merges per-shard builds into the global result. UE results
+// land at their global index; the legacy top-level pointers alias shard
+// 0, which by construction holds cell 0.
+func assemble(top Topology, builds []*build) *TopologyResult {
 	res := &TopologyResult{
 		Top: top,
 		UEs: make([]*UEResult, len(top.UEs)),
 	}
 	for _, b := range builds {
-		sr := &ShardResult{
-			Cells:   b.cellIdxs,
-			Sim:     b.s,
-			RANs:    b.cells,
-			Prober:  b.prober,
-			CapCore: b.res.CapCore,
-			CapSFU:  b.res.CapSFU,
-			UEs:     b.res.UEs,
-		}
-		res.Shards = append(res.Shards, sr)
+		res.Shards = append(res.Shards, b.res)
 		for _, ub := range b.ues {
 			res.UEs[ub.idx] = ub.res
 		}
@@ -335,17 +281,11 @@ func assembleSharded(top Topology, builds []*build) *TopologyResult {
 // its delay attribution plus the receiver-side QoE aggregates. Two runs
 // of the same Topology — serial or sharded, any worker count — must
 // produce equal digests; nothing wall-clock- or scheduling-dependent is
-// hashed. The single-cell path renders as shard 0, so a one-cell
-// sharded topology can be digest-compared against the legacy engine
-// directly.
+// hashed.
 func (tr *TopologyResult) Digest() string {
 	h := sha256.New()
-	if len(tr.Shards) > 0 {
-		for si, sr := range tr.Shards {
-			fmt.Fprintf(h, "shard=%d probe=%v\n", si, sr.Prober.OWDsMS())
-		}
-	} else {
-		fmt.Fprintf(h, "shard=0 probe=%v\n", tr.Prober.OWDsMS())
+	for si, sr := range tr.Shards {
+		fmt.Fprintf(h, "shard=%d probe=%v\n", si, sr.Prober.OWDsMS())
 	}
 	for _, u := range tr.UEs {
 		writeUEDigest(h, u)

@@ -3,6 +3,9 @@ package scenario
 import (
 	"testing"
 	"time"
+
+	"athena/internal/ran"
+	"athena/internal/units"
 )
 
 // shortShardedTopology builds a 6-UE / 3-cell topology with inter-cell
@@ -40,24 +43,44 @@ func TestShardedDigestsMatchSerial(t *testing.T) {
 	}
 }
 
-// TestSingleCellShardedMatchesLegacy pins that cells=1 routed through
-// the windowed shard engine reproduces the legacy single-cell engine
-// byte for byte — the windows, the barrier machinery and the shard
-// plumbing are execution-only.
-func TestSingleCellShardedMatchesLegacy(t *testing.T) {
-	legacyTop := shortMultiTopology(3)
-	legacy := RunTopology(legacyTop)
+// TestImplicitCellMatchesExplicitCell pins the one-shard plan of a
+// Cells-empty topology: under Access5G the top-level RAN, CrossUEs and
+// CrossPhases form one implicit cell that digests exactly like the same
+// cell spelled out in Cells; other access kinds run one cell-less
+// shard; and Cells on a non-5G access still panics.
+func TestImplicitCellMatchesExplicitCell(t *testing.T) {
+	phases := []ran.CrossPhase{{Start: 0, Rate: 0}, {Start: time.Second, Rate: 14 * units.Mbps}}
+	implicit := shortMultiTopology(3)
+	implicit.CrossUEs = 4
+	implicit.CrossPhases = phases
+	explicit := shortMultiTopology(3)
+	explicit.Cells = []CellSpec{{CrossUEs: 4, CrossPhases: phases}}
 
-	shardedTop := shortMultiTopology(3)
-	shardedTop.Cells = []CellSpec{{}}
-	sharded := RunTopology(shardedTop)
+	tr := RunTopology(implicit)
+	if len(tr.Shards) != 1 || len(tr.Shards[0].RANs) != 1 {
+		t.Fatalf("Cells-empty 5G topology ran %d shards", len(tr.Shards))
+	}
+	if len(tr.Top.Cells) != 0 {
+		t.Fatalf("result topology gained cells %v", tr.Top.Cells)
+	}
+	if got, want := tr.Digest(), RunTopology(explicit).Digest(); got != want {
+		t.Fatalf("implicit-cell digest %s != explicit-cell digest %s", got, want)
+	}
 
-	if len(sharded.Shards) != 1 {
-		t.Fatalf("one-cell topology produced %d shards, want 1", len(sharded.Shards))
+	wifiTop := shortMultiTopology(2)
+	wifiTop.Access = AccessWiFi
+	wtr := RunTopology(wifiTop)
+	if len(wtr.Shards) != 1 || len(wtr.Shards[0].RANs) != 0 || wtr.RAN != nil {
+		t.Fatalf("Wi-Fi topology ran %d shards, RANs %v", len(wtr.Shards), wtr.Shards[0].RANs)
 	}
-	if got, want := sharded.Digest(), legacy.Digest(); got != want {
-		t.Fatalf("one-cell sharded digest %s != legacy digest %s", got, want)
-	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Cells on Wi-Fi access did not panic")
+		}
+	}()
+	wifiTop.Cells = []CellSpec{{}}
+	RunTopology(wifiTop)
 }
 
 // TestShardedTopologyCorrelates checks the end-to-end semantics of a

@@ -67,8 +67,7 @@ type UESpec struct {
 	EstimateOffsets     bool
 
 	// Cell is the index into Topology.Cells this UE initially attaches
-	// to. Only meaningful when Cells is non-empty; must be zero (with no
-	// Handovers) on a single-cell topology.
+	// to. Must be zero when Cells is empty.
 	Cell int
 	// Handovers scripts cell changes for this UE. Every target cell is
 	// pulled into the UE's handover domain, so all cells a UE can visit
@@ -77,12 +76,12 @@ type UESpec struct {
 	Handovers []Handover
 }
 
-// Topology describes a composable testbed: N VCA UEs, each with its own
-// endpoint pipeline, host clocks, captures and flow IDs, sharing one
-// access network (a single RAN cell under Access5G, whose schedulers
-// arbitrate the competing UE buffers) and one wired core→WAN→SFU path.
+// Topology describes a composable testbed: N UEs, each with its own
+// endpoint pipeline, host clocks, captures and flow IDs, sharing an
+// access network (RAN cells under Access5G, whose schedulers arbitrate
+// the competing UE buffers) and a wired core→WAN→SFU path per shard.
 // A 1-UE topology is byte-identical to the historical monolithic Run
-// (the golden-compat test pins this).
+// (the golden digests pin this).
 type Topology struct {
 	Seed     int64
 	Duration time.Duration
@@ -107,12 +106,13 @@ type Topology struct {
 
 	UEs []UESpec
 
-	// Cells, when non-empty, turns the topology into a multi-cell
-	// deployment: each cell gets its own RAN instance, UEs attach per
-	// UESpec.Cell, and the simulation shards per handover domain — one
-	// sim engine per domain, advanced in parallel under conservative
-	// time-window synchronization. Empty Cells is the historical
-	// single-cell path, bit-for-bit unchanged.
+	// Cells lists the deployment's cells: each gets its own RAN instance,
+	// UEs attach per UESpec.Cell, and the simulation shards per handover
+	// domain — one sim engine per domain, advanced in parallel under
+	// conservative time-window synchronization. Empty Cells is one
+	// shard: under Access5G a single implicit cell built from RAN,
+	// CrossUEs and CrossPhases, and no cell at all on the other access
+	// kinds. Non-empty Cells requires Access5G.
 	Cells []CellSpec
 
 	// Lookahead is the conservative sync window of a sharded run. It
@@ -286,9 +286,9 @@ type TopologyResult struct {
 
 	UEs []*UEResult
 
-	// Shards holds the per-shard infrastructure of a sharded multi-cell
-	// run (nil on the single-cell path). The legacy top-level pointers
-	// (Sim, RAN, Prober, CapCore, CapSFU) then alias shard 0's.
+	// Shards holds the per-shard infrastructure of the run, one entry per
+	// handover domain and never empty. The legacy top-level pointers
+	// (Sim, RAN, Prober, CapCore, CapSFU) alias shard 0's.
 	Shards []*ShardResult
 }
 
@@ -296,26 +296,22 @@ type TopologyResult struct {
 // block of the historical monolithic Run, in the same construction order
 // — RNG streams derive from the master seed in creation sequence, so the
 // order IS the behavior.
+//
+// One build is one shard: res collects its engine, cells (global
+// indices in res.Cells, RAN instances in res.RANs), prober, captures and
+// UE results; cellByGlobal looks a cell up by global index.
 type build struct {
 	top   Topology
 	s     *sim.Simulator
 	alloc packet.Alloc
-	res   *TopologyResult
+	res   *ShardResult
 	ues   []*ueBuild
 
 	coreClk, sfuClk *clock.HostClock
 
-	prober *probe.Prober
 	wanUp  *netem.Link
 	inject *injector
-	cell   *ran.RAN
 
-	// Sharded-run fields (zero on the single-cell path): the shard
-	// index, the global indices of the cells this shard owns, the RAN
-	// instances in that order, and the lookup from global cell index.
-	shardIdx     int
-	cellIdxs     []int
-	cells        []*ran.RAN
 	cellByGlobal map[int]*ran.RAN
 
 	// Routing tables for the shared stages, keyed by flow.
@@ -343,10 +339,10 @@ type ueBuild struct {
 	wanDown            *netem.Link
 
 	// servingCell is the cell currently carrying this UE's downlink (and,
-	// via ranUE's attachment, its uplink). On the single-cell path it is
-	// the one cell for the whole run; a handover repoints it at detach
-	// time so downlink traffic reroutes immediately, while the uplink
-	// rebinds when the grant gap ends. curCell is its global cell index.
+	// via ranUE's attachment, its uplink). A handover repoints it at
+	// detach time so downlink traffic reroutes immediately, while the
+	// uplink rebinds when the grant gap ends. curCell is its global cell
+	// index.
 	servingCell *ran.RAN
 	curCell     int
 
@@ -354,68 +350,94 @@ type ueBuild struct {
 	senderNTP, recvNTP clock.SyncEstimator
 }
 
-// RunTopology executes a multi-UE testbed and correlates each UE's
-// traces. It is deterministic in Topology alone: with Cells set, the
-// sharded multi-cell engine produces byte-identical digests whether the
-// shards advance serially or in parallel.
+// RunTopology executes a testbed and correlates each UE's traces. Every
+// topology takes one path: plan the shards (handover domains), build one
+// engine and stage stack per shard, advance them all under conservative
+// time-window sync (in parallel on a worker gang unless top.Serial),
+// exchanging inter-cell interference load at every window barrier, then
+// correlate each shard and assemble the global result. Deterministic in
+// Topology alone: construction is serial in shard order, every engine
+// is seeded from the master seed, and barrier-time exchanges walk cells
+// in global order — so serial and parallel advancement produce
+// byte-identical digests.
 func RunTopology(top Topology) *TopologyResult {
-	if len(top.Cells) > 0 {
-		return runShardedTopology(top)
-	}
-	for i, u := range top.UEs {
-		if u.Cell != 0 || len(u.Handovers) > 0 {
-			panic(fmt.Sprintf("scenario: UE %d sets Cell/Handovers but Topology.Cells is empty", i))
-		}
-	}
-	b := runTopologyBuild(top)
-	b.correlate()
-	return b.res
-}
-
-// runTopologyBuild runs the simulation stages of a topology, leaving the
-// correlation stage to the caller (RunTopology, or a benchmark that
-// times it in isolation).
-func runTopologyBuild(top Topology) *build {
+	validateCells(top)
 	if len(top.UEs) == 0 {
 		u := DefaultUE()
 		u.Seed = top.Seed
 		top.UEs = []UESpec{u}
 	}
-	b := newBuild(top)
-	b.buildWiredPath()
-	b.buildAccess()
-	for _, ub := range b.ues {
-		b.buildEndpoint(ub)
+	builds := simulate(top)
+	for _, b := range builds {
+		b.correlate()
 	}
-	b.buildProbes()
-	b.start()
-	b.s.RunUntil(top.Duration)
-	b.stop()
-	return b
+	return assemble(top, builds)
 }
 
-// newBuild allocates the simulator, host clocks and controllers — no
-// events or RNG streams yet.
-func newBuild(top Topology) *build {
-	idxs := make([]int, len(top.UEs))
-	for i := range idxs {
-		idxs[i] = i
+// simulate runs the simulation stages of every shard of top, leaving the
+// correlation stage to the caller (RunTopology, or a benchmark that
+// times it in isolation). Its copy of top gets the engine defaults: the
+// implicit cell of a Cells-empty 5G topology, the lookahead and the
+// handover gap.
+func simulate(top Topology) []*build {
+	if len(top.Cells) == 0 && top.cellular() {
+		top.Cells = []CellSpec{{CrossUEs: top.CrossUEs, CrossPhases: top.CrossPhases}}
 	}
-	return newBuildFor(top, top.Seed, idxs)
+	if top.Lookahead <= 0 {
+		top.Lookahead = 10 * time.Millisecond
+	}
+	if top.HandoverGap <= 0 {
+		top.HandoverGap = 20 * time.Millisecond
+	}
+
+	plans := planShards(top)
+	sharded := len(plans) > 1
+	if sharded {
+		metShardedRuns.Inc()
+		metShardCount.Set(int64(len(plans)))
+	}
+	builds := make([]*build, len(plans))
+	sims := make([]*sim.Simulator, len(plans))
+	for si, plan := range plans {
+		b := newBuild(top, shardSeed(top.Seed, si), plan)
+		if sharded {
+			b.s.Label(fmt.Sprintf("shard%d", si))
+		}
+		b.buildWiredPath()
+		b.buildAccess()
+		for _, ub := range b.ues {
+			b.buildEndpoint(ub)
+		}
+		b.buildProbes()
+		b.scheduleHandovers()
+		b.start()
+		builds[si] = b
+		sims[si] = b.s
+	}
+
+	var g *sim.Gang
+	if !top.Serial && sharded {
+		g = sim.NewGang(len(builds))
+		defer g.Close()
+	}
+	sim.NewShards(sims, top.Lookahead).Advance(top.Duration, g, interferenceBarrier(builds))
+	for _, b := range builds {
+		b.stop()
+	}
+	return builds
 }
 
-// newBuildFor is newBuild generalized to a subset of the topology's UEs
-// (one shard of a multi-cell run) with its own engine seed. UEs keep
-// their global index — flow IDs, clock names and RAN UE identifiers are
-// topology-global, so merged results are position-independent. For the
-// full index set and the topology seed it is exactly the historical
-// single-shard construction.
-func newBuildFor(top Topology, seed int64, ueIdxs []int) *build {
+// newBuild allocates one shard's simulator, host clocks and endpoint
+// state for the plan's UEs, seeded with the shard's engine seed — no
+// events or RNG streams yet. UEs keep their global index: flow IDs,
+// clock names and RAN UE identifiers are topology-global, so merged
+// results are position-independent.
+func newBuild(top Topology, seed int64, plan shardPlan) *build {
 	s := sim.New(seed)
 	b := &build{
 		top:            top,
 		s:              s,
-		res:            &TopologyResult{Top: top, Sim: s},
+		res:            &ShardResult{Cells: plan.cells, Sim: s},
 		coreClk:        clock.Perfect("core"),
 		sfuClk:         clock.Perfect("sfu"),
 		downlinkByFlow: make(map[uint32]*netem.Link),
@@ -423,7 +445,7 @@ func newBuildFor(top Topology, seed int64, ueIdxs []int) *build {
 		ueByDLFB:       make(map[uint32]*ueBuild),
 		ueByMedia:      make(map[uint32]*ueBuild),
 	}
-	for _, i := range ueIdxs {
+	for _, i := range plan.ues {
 		spec := top.UEs[i]
 		sname, rname := "sender", "receiver"
 		if i > 0 {
@@ -522,12 +544,12 @@ func (b *build) buildWiredPath() {
 	sfu := netem.NewSFU(s, egress)
 	// The SFU is also the probe target: echoes return to the core.
 	wanBackToCore := netem.NewLink(s, "sfu-core", 8*time.Millisecond, units.Gbps, packet.HandlerFunc(func(p *packet.Packet) {
-		b.prober.Done(p)
+		b.res.Prober.Done(p)
 	}))
 	wanBackToCore.Jitter = 500 * time.Microsecond
 	sfuIngress := packet.HandlerFunc(func(p *packet.Packet) {
 		if p.Kind == packet.KindICMP {
-			b.prober.Echo(p)
+			b.res.Prober.Echo(p)
 			wanBackToCore.Handle(p)
 			return
 		}
@@ -597,34 +619,15 @@ func (b *build) coreIngress() packet.Handler {
 	})
 }
 
-// buildAccess constructs the shared access stage: under Access5G, one
-// cell whose scheduler arbitrates every attached UE's buffer (plus
-// optional synthetic cross traffic). The other access kinds give each
-// UE a private link, built by buildEndpoint.
+// buildAccess constructs the shard's access stage: under Access5G, one
+// RAN per owned cell in global cell order, whose schedulers arbitrate
+// every attached UE's buffer; UEs attach to their home cell; per-cell
+// synthetic cross traffic comes last, so stream creation order matches
+// the historical single-cell testbed. The other access kinds own no
+// cells and give each UE a private link, built by buildEndpoint.
 func (b *build) buildAccess() {
-	if b.top.Emulated || (b.top.Access != "" && b.top.Access != Access5G) {
-		return
-	}
-	if len(b.cellIdxs) == 0 {
-		// Single-cell path, unchanged byte for byte.
-		b.cell = ran.New(b.s, b.top.RAN, b.res.CapCore)
-		b.res.RAN = b.cell
-		for _, ub := range b.ues {
-			ub.ranUE = b.cell.AttachUE(uint32(ub.idx+1), ub.spec.Sched)
-			ub.ranUE.Hint = ub.wl.Hint()
-			ub.servingCell = b.cell
-		}
-		if b.top.CrossUEs > 0 && len(b.top.CrossPhases) > 0 {
-			ran.NewCrossSource(b.s, b.cell, &b.alloc, b.top.CrossUEs, b.top.crossFlowBase(), b.top.CrossPhases)
-		}
-		return
-	}
-	// Multi-cell shard: one RAN per owned cell, in global cell order;
-	// UEs attach to their home cell; per-cell cross traffic last, so a
-	// one-cell shard's stream creation order matches the single-cell
-	// path exactly.
-	b.cellByGlobal = make(map[int]*ran.RAN, len(b.cellIdxs))
-	for _, ci := range b.cellIdxs {
+	b.cellByGlobal = make(map[int]*ran.RAN, len(b.res.Cells))
+	for _, ci := range b.res.Cells {
 		spec := b.top.Cells[ci]
 		cfg := b.top.RAN
 		if spec.RAN != nil {
@@ -635,18 +638,20 @@ func (b *build) buildAccess() {
 			cfg.InterferenceCoupling = b.top.InterferenceCoupling
 		}
 		cell := ran.New(b.s, cfg, b.res.CapCore)
-		b.cells = append(b.cells, cell)
+		b.res.RANs = append(b.res.RANs, cell)
 		b.cellByGlobal[ci] = cell
 	}
-	b.res.RAN = b.cells[0]
 	for _, ub := range b.ues {
-		cell := b.cellByGlobal[ub.spec.Cell]
+		cell, ok := b.cellByGlobal[ub.spec.Cell]
+		if !ok {
+			continue
+		}
 		ub.ranUE = cell.AttachUE(uint32(ub.idx+1), ub.spec.Sched)
 		ub.ranUE.Hint = ub.wl.Hint()
 		ub.servingCell = cell
 		ub.curCell = ub.spec.Cell
 	}
-	for _, ci := range b.cellIdxs {
+	for _, ci := range b.res.Cells {
 		spec := b.top.Cells[ci]
 		if spec.CrossUEs > 0 && len(spec.CrossPhases) > 0 {
 			base := b.top.crossFlowBase() + uint32(64*ci)
@@ -702,8 +707,7 @@ func (b *build) buildEndpoint(ub *ueBuild) {
 // real access path.
 func (b *build) buildProbes() {
 	s := b.s
-	b.prober = probe.New(s, &b.alloc, proberFlow, b.wanUp)
-	b.res.Prober = b.prober
+	b.res.Prober = probe.New(s, &b.alloc, proberFlow, b.wanUp)
 
 	for _, ub := range b.ues {
 		ub := ub
@@ -740,7 +744,7 @@ func (b *build) start() {
 	for _, ub := range b.ues {
 		ub.wl.Start()
 	}
-	b.prober.Start(b.top.ProbeInterval)
+	b.res.Prober.Start(b.top.ProbeInterval)
 }
 
 // stop halts the traffic sources after the run.
@@ -763,7 +767,7 @@ func (b *build) stop() {
 // output is input-ordered and byte-identical to the serial loop
 // regardless of scheduling.
 func (b *build) correlate() {
-	baseline := probeBaseline(b.prober)
+	baseline := probeBaseline(b.res.Prober)
 	multi := len(b.ues) > 1
 
 	// Partition the shared state once instead of N filtered re-scans.
@@ -776,7 +780,7 @@ func (b *build) correlate() {
 	coreByUE := partitionByFlow(b.res.CapCore.Records, ueOfFlow, len(b.ues))
 	sfuByUE := partitionByFlow(b.res.CapSFU.Records, ueOfFlow, len(b.ues))
 	var tbsByUE [][]telemetry.TBRecord
-	if cells := b.cellList(); len(cells) > 0 {
+	if cells := b.res.RANs; len(cells) > 0 {
 		// Concatenate per-cell telemetry in global cell order: a UE that
 		// handed over has TBs in two cells' streams, and the correlator's
 		// TB reconstruction tolerates the resulting time interleaving.
@@ -890,22 +894,10 @@ func partitionByFlow(records []packet.Record, ueOfFlow map[uint32]int, n int) []
 	return out
 }
 
-// cellList returns the build's RAN instances: the single shared cell on
-// the legacy path, or the shard's cells in global order.
-func (b *build) cellList() []*ran.RAN {
-	if len(b.cells) > 0 {
-		return b.cells
-	}
-	if b.cell != nil {
-		return []*ran.RAN{b.cell}
-	}
-	return nil
-}
-
 // partitionTBsByUE splits cell telemetry into per-UE attempt streams in
 // one pass, preserving input order. idOf maps RAN UE identifiers to
-// local result positions (identity minus one on the legacy path; sparse
-// for a shard holding a subset of the topology's UEs).
+// local result positions (sparse for a shard holding a subset of the
+// topology's UEs).
 func partitionTBsByUE(records []telemetry.TBRecord, idOf map[uint32]int, n int) [][]telemetry.TBRecord {
 	counts := make([]int, n)
 	for _, r := range records {
