@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -15,63 +14,40 @@ import (
 // synchronization. All shards advance in lockstep windows of a fixed
 // lookahead: each window every shard runs its own event loop to the
 // window end (in parallel when a Gang is supplied), then all shards stop
-// at a barrier where cross-shard interactions are exchanged, and the
-// next window begins.
+// at a barrier, where a single-threaded callback may read every shard's
+// state and adjust it for the windows ahead, and the next window begins.
+// One simulator is the degenerate case: its windows run back to back.
 //
 // The protocol is conservative in the classical parallel-DES sense:
-// during a window a shard may only observe state that was fixed at the
-// last barrier, and anything it emits toward another shard must be
-// timestamped at or after the *next* barrier. The mailbox enforces that
-// contract (a Post inside the current window panics), so no shard can
-// ever receive an event in its past and no rollback machinery is
-// needed. The lookahead is therefore not a tuning knob but a modeling
-// statement: it must lower-bound the latency of every physical
-// cross-shard channel (the inter-gNB wired path for handover transfers
-// and load reports).
+// during a window a shard observes only its own events and the state
+// fixed at the last barrier, so no shard can see another's future and
+// no rollback machinery is needed. The lookahead is therefore not a
+// tuning knob but a modeling statement: it must lower-bound the latency
+// of every physical cross-shard channel (the inter-gNB wired path for
+// load reports).
 //
 // Determinism: a shard's event loop is a pure function of its own seed
-// and the mail delivered at its barriers. Mail is merged in a fixed
-// order — (timestamp, source shard, post sequence) — and inserted
-// before the next window runs, so insertion-order tie-breaking inside
-// each Simulator is reproducible. Advancing the shards serially or in
-// parallel on a Gang therefore produces byte-identical simulations; the
-// scenario test suite pins that equivalence.
+// and what the barrier callback changed, and the callback runs with
+// every shard quiesced. Advancing the shards serially or in parallel on
+// a Gang therefore produces byte-identical simulations; the scenario
+// test suite pins that equivalence.
 type Shards struct {
 	sims   []*Simulator
 	window time.Duration
 
-	// windowEnd is the barrier time of the window currently running. It
-	// is written between windows (single-threaded) and only read by
-	// shard goroutines during the window, with the Gang's channel
-	// operations providing the happens-before edges.
-	windowEnd time.Duration
-
-	// outbox[src] collects mail posted by shard src during its window
-	// (each shard goroutine appends only to its own outbox) and by the
-	// barrier callback (single-threaded, any src).
-	outbox [][]mail
-	seq    []uint64
-
 	metWindows *obs.Counter
-	metPosts   *obs.Counter
 	waitAll    *obs.Histogram
 	waits      []*obs.Histogram
 	finishes   []time.Time
 }
 
-// mail is one cross-shard event: a closure to execute in the target
-// shard's simulator at a fixed virtual time.
-type mail struct {
-	at  time.Duration
-	dst int
-	fn  func()
-}
-
 // NewShards builds a coordinator over sims advancing in windows of the
-// given lookahead. Histograms sim.shard<i>.barrier_wait_ns record, per
-// shard, how long it idled at each barrier waiting for the slowest
-// shard of that window (parallel advancement only); sim.barrier_wait_ns
-// aggregates them.
+// given lookahead. With more than one simulator, sim.windows counts the
+// windows and histograms sim.shard<i>.barrier_wait_ns record, per shard,
+// how long it idled at each barrier waiting for the slowest shard of
+// that window (parallel advancement only); sim.barrier_wait_ns
+// aggregates them. A lone simulator coordinates nothing and registers
+// none of these, so it observes exactly like a bare Simulator.
 func NewShards(sims []*Simulator, lookahead time.Duration) *Shards {
 	if len(sims) == 0 {
 		panic("sim: NewShards requires at least one simulator")
@@ -79,50 +55,23 @@ func NewShards(sims []*Simulator, lookahead time.Duration) *Shards {
 	if lookahead <= 0 {
 		panic("sim: NewShards requires a positive lookahead window")
 	}
-	sh := &Shards{
-		sims:       sims,
-		window:     lookahead,
-		outbox:     make([][]mail, len(sims)),
-		seq:        make([]uint64, len(sims)),
-		metWindows: obs.NewCounter("sim.windows"),
-		metPosts:   obs.NewCounter("sim.mailbox_posts"),
-		waitAll:    obs.NewHistogram("sim.barrier_wait_ns"),
-		waits:      make([]*obs.Histogram, len(sims)),
-		finishes:   make([]time.Time, len(sims)),
-	}
-	for i := range sims {
-		sh.waits[i] = obs.NewHistogram(fmt.Sprintf("sim.shard%d.barrier_wait_ns", i))
+	sh := &Shards{sims: sims, window: lookahead}
+	if len(sims) > 1 {
+		sh.metWindows = obs.NewCounter("sim.windows")
+		sh.waitAll = obs.NewHistogram("sim.barrier_wait_ns")
+		sh.finishes = make([]time.Time, len(sims))
+		for i := range sims {
+			sh.waits = append(sh.waits, obs.NewHistogram(fmt.Sprintf("sim.shard%d.barrier_wait_ns", i)))
+		}
 	}
 	return sh
-}
-
-// Window reports the lookahead window length.
-func (sh *Shards) Window() time.Duration { return sh.window }
-
-// Post mails fn to shard dst for execution at virtual time at. src names
-// the posting shard: during a window a shard may post only as itself
-// (outboxes are sharded to stay lock-free); the barrier callback runs
-// with every shard quiesced and may post under any src. The timestamp
-// must not precede the current window's barrier — mail into the running
-// window would violate the conservative lookahead contract, so it
-// panics rather than silently perturbing determinism.
-func (sh *Shards) Post(src, dst int, at time.Duration, fn func()) {
-	if dst < 0 || dst >= len(sh.sims) {
-		panic(fmt.Sprintf("sim: Post to unknown shard %d", dst))
-	}
-	if at < sh.windowEnd {
-		panic(fmt.Sprintf("sim: Post at %v violates the lookahead bound (current barrier %v)", at, sh.windowEnd))
-	}
-	sh.seq[src]++
-	sh.outbox[src] = append(sh.outbox[src], mail{at: at, dst: dst, fn: fn})
-	sh.metPosts.Inc()
 }
 
 // Advance runs every shard to horizon in lookahead-sized windows. When g
 // is nil the shards advance serially in index order; otherwise each
 // window fans out across the gang's workers. barrier, when non-nil, is
 // invoked at every window boundary (with all shards stopped at exactly
-// that virtual time) and may inspect shard state and Post mail for the
+// that virtual time) and may inspect and adjust shard state for the
 // windows ahead. Both advancement modes execute the same per-shard
 // event sequences.
 func (sh *Shards) Advance(horizon time.Duration, g *Gang, barrier func(end time.Duration)) {
@@ -131,9 +80,8 @@ func (sh *Shards) Advance(horizon time.Duration, g *Gang, barrier func(end time.
 		if end > horizon {
 			end = horizon
 		}
-		sh.windowEnd = end
 		sh.metWindows.Inc()
-		obsOn := obs.Enabled()
+		obsOn := sh.waits != nil && obs.Enabled()
 		step := func(i int) {
 			sh.sims[i].RunUntil(end)
 			if obsOn {
@@ -153,7 +101,6 @@ func (sh *Shards) Advance(horizon time.Duration, g *Gang, barrier func(end time.
 		if barrier != nil {
 			barrier(end)
 		}
-		sh.deliver()
 		start = end
 	}
 }
@@ -171,45 +118,6 @@ func (sh *Shards) observeBarrierWaits() {
 		w := last.Sub(t)
 		sh.waits[i].ObserveDuration(w)
 		sh.waitAll.ObserveDuration(w)
-	}
-}
-
-// deliver merges every outbox into the target simulators in the fixed
-// order (timestamp, source shard, post sequence). Insertion order breaks
-// same-time ties inside each Simulator, so the merge order is part of
-// the deterministic contract.
-func (sh *Shards) deliver() {
-	total := 0
-	for _, box := range sh.outbox {
-		total += len(box)
-	}
-	if total == 0 {
-		return
-	}
-	type delivery struct {
-		m    mail
-		src  int
-		sseq int // position within the source outbox (post order)
-	}
-	all := make([]delivery, 0, total)
-	for src, box := range sh.outbox {
-		for i, m := range box {
-			all = append(all, delivery{m: m, src: src, sseq: i})
-		}
-		sh.outbox[src] = box[:0]
-	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.m.at != b.m.at {
-			return a.m.at < b.m.at
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.sseq < b.sseq
-	})
-	for _, d := range all {
-		sh.sims[d.m.dst].At(d.m.at, d.m.fn)
 	}
 }
 

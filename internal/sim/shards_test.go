@@ -9,39 +9,31 @@ import (
 	"athena/internal/obs"
 )
 
-// shardTrace drives n shards that each tick every period and, on each
-// tick, mail a record to the next shard one window ahead. It returns the
-// per-shard execution traces.
+// shardTrace drives n shards that each tick on their own period and
+// draw from their own RNG stream. It returns the per-shard execution
+// traces.
 func shardTrace(t *testing.T, n int, g *Gang) []string {
 	t.Helper()
 	sims := make([]*Simulator, n)
 	for i := range sims {
 		sims[i] = New(int64(100 + i))
 	}
-	sh := NewShards(sims, 10*time.Millisecond)
 	traces := make([]string, n)
 	for i := range sims {
 		i := i
 		s := sims[i]
-		s.Every(0, 3*time.Millisecond, func() {
-			traces[i] += fmt.Sprintf("tick@%v;", s.Now())
-			// Mail the next shard: earliest legal time is the current
-			// window's barrier (we cannot know it mid-window without
-			// racing, so use now+window which is always ≥ windowEnd).
-			at := s.Now() + sh.Window()
-			dst := (i + 1) % n
-			sh.Post(i, dst, at, func() {
-				traces[dst] += fmt.Sprintf("mail<-%d@%v;", i, sims[dst].Now())
-			})
+		rng := s.NewStream()
+		s.Every(0, time.Duration(2+i)*time.Millisecond, func() {
+			traces[i] += fmt.Sprintf("tick@%v:%d;", s.Now(), rng.Int63n(1000))
 		})
 	}
-	sh.Advance(50*time.Millisecond, g, nil)
+	NewShards(sims, 10*time.Millisecond).Advance(50*time.Millisecond, g, nil)
 	return traces
 }
 
 // TestShardsSerialMatchesGang pins the core determinism claim: advancing
 // the same shard set serially or across a worker gang yields identical
-// per-shard event traces, including cross-shard mail arrival order.
+// per-shard event traces.
 func TestShardsSerialMatchesGang(t *testing.T) {
 	serial := shardTrace(t, 4, nil)
 	g := NewGang(4)
@@ -56,68 +48,6 @@ func TestShardsSerialMatchesGang(t *testing.T) {
 			t.Fatalf("shard %d executed nothing", i)
 		}
 	}
-	// Cross-shard mail must actually have been exchanged, or the test is
-	// vacuous.
-	for i, tr := range serial {
-		if !containsMail(tr) {
-			t.Fatalf("shard %d trace has no cross-shard mail: %s", i, tr)
-		}
-	}
-}
-
-func containsMail(trace string) bool {
-	for i := 0; i+4 < len(trace); i++ {
-		if trace[i:i+5] == "mail<" {
-			return true
-		}
-	}
-	return false
-}
-
-// TestShardsMailMergeOrder checks that same-timestamp mail from different
-// shards is delivered in source-shard order, and same-source mail in post
-// order — the (at, src, seq) contract the determinism argument rests on.
-func TestShardsMailMergeOrder(t *testing.T) {
-	sims := []*Simulator{New(1), New(2), New(3)}
-	sh := NewShards(sims, 5*time.Millisecond)
-	var got []string
-	record := func(tag string) func() {
-		return func() { got = append(got, tag) }
-	}
-	// All mail lands in shard 0 at the same virtual time. Post from
-	// sources out of order (2 before 1), and two from source 1 to check
-	// post-order within a source.
-	at := 10 * time.Millisecond
-	sh.Post(2, 0, at, record("src2#0"))
-	sh.Post(1, 0, at, record("src1#0"))
-	sh.Post(1, 0, at, record("src1#1"))
-	sh.Post(0, 0, at, record("src0#0"))
-	sh.Advance(20*time.Millisecond, nil, nil)
-	want := []string{"src0#0", "src1#0", "src1#1", "src2#0"}
-	if len(got) != len(want) {
-		t.Fatalf("delivered %d mails, want %d (%v)", len(got), len(want), got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("merge order %v, want %v", got, want)
-		}
-	}
-}
-
-// TestShardsPostLookaheadViolationPanics: mail timestamped inside the
-// window being advanced would break conservative sync; Post must refuse.
-func TestShardsPostLookaheadViolationPanics(t *testing.T) {
-	sims := []*Simulator{New(1), New(2)}
-	sh := NewShards(sims, 10*time.Millisecond)
-	sims[0].At(2*time.Millisecond, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Post at a time before the window barrier did not panic")
-			}
-		}()
-		sh.Post(0, 1, 5*time.Millisecond, func() {}) // barrier is at 10ms
-	})
-	sh.Advance(10*time.Millisecond, nil, nil)
 }
 
 // TestShardsBarrierStopsAllShards: the barrier callback observes every
