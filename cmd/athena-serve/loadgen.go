@@ -181,7 +181,7 @@ func runLoadgen(p loadgenParams) (*serveReport, error) {
 		reg := session.NewRegistry()
 		reg.Events = obs.NewEventLog(obs.DefaultEventBuffer)
 		reg.AnomalyHARQP99 = 50 * time.Millisecond
-		srv := &http.Server{Handler: reg.Handler()}
+		srv := newServer(reg.Handler())
 		go srv.Serve(ln)
 		defer srv.Close()
 		target = "http://" + ln.Addr().String()

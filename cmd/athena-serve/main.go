@@ -135,7 +135,7 @@ func main() {
 // server's lifetime so /metrics is live.
 func serve(ctx context.Context, ln net.Listener, reg *session.Registry) (int, error) {
 	obs.Enable()
-	srv := &http.Server{Handler: reg.Handler()}
+	srv := newServer(reg.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
@@ -161,6 +161,29 @@ func serve(ctx context.Context, ln net.Listener, reg *session.Registry) (int, er
 // shutdownGrace bounds how long in-flight requests may run once a
 // shutdown signal arrives.
 const shutdownGrace = 10 * time.Second
+
+// Connection timeouts bound what a slow or stalled client can hold: the
+// request header must arrive within readHeaderTimeout and the whole
+// request within readTimeout, and an idle keep-alive connection closes
+// after idleTimeout. net/http keeps the readTimeout deadline armed while
+// a handler runs and cancels the request when it fires, so it must
+// outlast the longest /v1/events long-poll or SSE hold (30 s).
+// WriteTimeout stays unset for the same streams.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer wraps h in an http.Server with the connection timeouts.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 // lintExposition parses one Prometheus text page (a scraped /metrics
 // capture, or stdin for "-") with the in-repo parser and returns the

@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -301,5 +303,45 @@ func TestServeGracefulDrain(t *testing.T) {
 	}
 	if drained != 1 {
 		t.Fatalf("drained %d sessions, want 1", drained)
+	}
+}
+
+// TestServeDropsStalledHeaderClient pins the slow-client bound: a raw
+// TCP client that sends half a request header and then stalls must be
+// disconnected once readHeaderTimeout passes, instead of holding its
+// connection open forever.
+func TestServeDropsStalledHeaderClient(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		serve(ctx, ln, session.NewRegistry())
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /healthz HTTP/1.1\r\nHost: athena\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second))
+	_, err = io.ReadAll(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("stalled client still connected after %v", time.Since(start))
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Fatalf("connection closed after %v, before the header timeout (%v)", waited, readHeaderTimeout)
 	}
 }
