@@ -319,7 +319,9 @@ func TestServeDropsStalledHeaderClient(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		serve(ctx, ln, session.NewRegistry())
+		if _, err := serve(ctx, ln, session.NewRegistry()); err != nil {
+			t.Error(err)
+		}
 	}()
 	defer func() {
 		cancel()
@@ -335,7 +337,9 @@ func TestServeDropsStalledHeaderClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second))
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
 	_, err = io.ReadAll(conn)
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
