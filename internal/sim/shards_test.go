@@ -114,6 +114,24 @@ func TestShardsBarrierWaitHistograms(t *testing.T) {
 	}
 }
 
+// TestLoneShardRecordsLikeBareEngine: one simulator under Shards has
+// nothing to coordinate, so it counts no windows and fires into the
+// shared sim.events_fired series like a bare engine.
+func TestLoneShardRecordsLikeBareEngine(t *testing.T) {
+	obs.ResetAll()
+	obs.Enable()
+	defer obs.Disable()
+	s := New(1)
+	s.Every(0, time.Millisecond, func() {})
+	NewShards([]*Simulator{s}, 10*time.Millisecond).Advance(40*time.Millisecond, nil, nil)
+	if got := obs.NewCounter("sim.windows").Value(); got != 0 {
+		t.Fatalf("lone shard counted %d windows, want 0", got)
+	}
+	if got := obs.NewCounter("sim.events_fired").Value(); got != 41 {
+		t.Fatalf("sim.events_fired = %d, want 41", got)
+	}
+}
+
 // TestLabeledEnginesDoNotInterleaveCounts is the obs-namespacing race
 // check: two engines advancing concurrently, each labeled, must record
 // into disjoint series with exact per-engine totals (run under -race in
