@@ -8,6 +8,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -17,7 +18,6 @@ import (
 	"athena"
 	"athena/internal/obs"
 	"athena/internal/packet"
-	"athena/internal/profiling"
 	"athena/internal/stats"
 	"athena/internal/trace"
 )
@@ -30,39 +30,35 @@ func main() {
 	duration := flag.Duration("duration", 30*time.Second, "simulated call duration (live mode)")
 	seed := flag.Int64("seed", 1, "simulation seed (live mode)")
 	seeds := flag.Int("seeds", 1, "number of consecutive seeds to run (parallel) and aggregate")
-	prof := profiling.AddFlags(flag.CommandLine)
-	obsFlags := obs.AddCLIFlags(flag.CommandLine)
+	cli := obs.AddCLIFlags(flag.CommandLine)
 	flag.Parse()
 
-	stopProf, err := profiling.StartConfig(*prof)
+	stop, err := cli.Start()
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer stopProf()
-
-	stopObs, err := obsFlags.Start()
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer func() {
-		if err := stopObs(); err != nil {
-			log.Print(err)
-		}
-	}()
-
-	if *in != "" {
-		summarizeFile(*in)
-		return
-	}
-
-	if *seeds > 1 {
+	// Every exit after Start goes through stop once, so a failed run
+	// still leaves complete profiles and metrics.
+	var runErr error
+	switch {
+	case *in != "":
+		runErr = summarizeFile(*in)
+	case *seeds > 1:
 		analyzeSeeds(*duration, *seed, *seeds)
-		return
+	default:
+		analyzeLive(*duration, *seed)
 	}
+	if err := errors.Join(runErr, stop()); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// analyzeLive runs the default scenario once and prints its cross-layer
+// analysis.
+func analyzeLive(duration time.Duration, seed int64) {
 	cfg := athena.DefaultConfig()
-	cfg.Duration = *duration
-	cfg.Seed = *seed
+	cfg.Duration = duration
+	cfg.Seed = seed
 	res := athena.Run(cfg)
 	rep := res.Report
 
@@ -116,15 +112,15 @@ func analyzeSeeds(duration time.Duration, first int64, n int) {
 	fmt.Printf("  stalls:            %s\n", stats.SummarizeInPlace(stalls))
 }
 
-func summarizeFile(path string) {
+func summarizeFile(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer f.Close()
 	evs, err := trace.ReadJSON(f)
 	if err != nil {
-		log.Fatal(err)
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	fmt.Println(trace.Summary(evs))
 	// Per-point packet counts and PHY grant mix.
@@ -154,4 +150,5 @@ func summarizeFile(path string) {
 		fmt.Printf("  %-12s %d\n", g, n)
 	}
 	fmt.Printf("failed attempts: %d; retransmissions: %d\n", failed, retx)
+	return nil
 }

@@ -17,7 +17,7 @@
 //	athena-bench -shard 2/4 ...        # run the second quarter of the selection
 //	athena-bench -merge-manifests merged.json s1.json s2.json ...
 //	athena-bench -diff-manifests a.json b.json
-//	athena-bench -cache-bench BENCH_cache.json
+//	athena-bench -cpuprofile cpu.pprof -metrics-out m.json ...
 //
 // With -parallel the experiments run concurrently but output streams in
 // registry order as each ordered prefix completes, so the figure
@@ -38,11 +38,21 @@
 // in-flight ones finish, and still writes the manifest — completed
 // entries intact, never-started ones marked skipped — so a cancelled
 // CI job or ^C'd run keeps its partial progress diffable (and, with
-// -store, already persisted).
+// -store, already persisted). The -cpuprofile/-memprofile/
+// -blockprofile/-mutexprofile/-metrics-out/-timeline/-debug-addr flags
+// are the obs.AddCLIFlags set every CLI shares; their files are written
+// on every exit once the sweep has started, failed and interrupted runs
+// included.
+//
+// athena-bench has two modes, the sweep and the manifest utilities. The
+// benchmark — sweep wall time, simulator UE-seconds per second on the
+// 1000-UE topology, service throughput, and per-layer CPU — is
+// perfbench (python3 perfbench/run.py; see perfbench/README.md).
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -55,7 +65,6 @@ import (
 
 	"athena/internal/experiment"
 	"athena/internal/obs"
-	"athena/internal/profiling"
 	"athena/internal/runner"
 	"athena/internal/store"
 
@@ -173,14 +182,7 @@ func main() {
 	shardSpec := flag.String("shard", "", "run one shard i/n of the selection, partitioned by canonical ID order (e.g. 2/4)")
 	mergeOut := flag.String("merge-manifests", "", "merge the shard manifests given as arguments into this file and exit")
 	diffMode := flag.Bool("diff-manifests", false, "diff the two manifests given as arguments by digest and exit (nonzero on difference)")
-	cacheBench := flag.String("cache-bench", "", "run the selection cold then warm through the result store and write the timing report JSON here")
-	cells := flag.Int("cells", 0, "multi-cell scale mode: number of cells (bypasses the experiment sweep)")
-	ues := flag.Int("ues", 0, "multi-cell scale mode: number of UEs, spread round-robin over -cells")
-	handovers := flag.Int("handovers", 1, "scale mode: UEs given one scripted mid-run handover")
-	workloadMix := flag.Bool("workload-mix", false, "scale mode: round-robin the workload families (vca, cloud-gaming, bulk-transfer, audio-only) over the UEs and verify per-family digests")
-	scaleOut := flag.String("scale-out", "", "scale mode: write the serial-vs-sharded scale report JSON here")
-	prof := profiling.AddFlags(flag.CommandLine)
-	obsFlags := obs.AddCLIFlags(flag.CommandLine)
+	cli := obs.AddCLIFlags(flag.CommandLine)
 	flag.Parse()
 
 	// Manifest utility modes: no simulation, just read/combine/compare.
@@ -192,35 +194,6 @@ func main() {
 	}
 	if *diffMode {
 		if err := runDiffManifests(flag.Args()); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	if *cells > 0 || *ues > 0 {
-		stopProf, err := profiling.StartConfig(*prof)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer stopProf()
-		obs.Enable() // barrier-wait histograms feed the scale report
-		stopObs, err := obsFlags.Start()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := runScale(scaleParams{
-			UEs:       *ues,
-			Cells:     *cells,
-			Handovers: *handovers,
-			Mix:       *workloadMix,
-			Seed:      *seed,
-			Scale:     *scale,
-			Out:       *scaleOut,
-			Verbose:   *verbose,
-		}); err != nil {
-			log.Fatal(err)
-		}
-		if err := stopObs(); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -252,42 +225,59 @@ func main() {
 		log.Fatalf("no experiments match the selection; run with -list to see the registry")
 	}
 
-	stopProf, err := profiling.StartConfig(*prof)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer stopProf()
-
 	// Pool and store statistics ride the obs counters, so -v and any
 	// store use imply collection even when no output file was
 	// requested (instrumentation is digest-neutral, see
 	// TestDigestsUnchangedByObservability).
-	if *verbose || *storeDir != "" || *cacheBench != "" {
+	if *verbose || *storeDir != "" {
 		obs.Enable()
 	}
-	stopObs, err := obsFlags.Start()
+	stop, err := cli.Start()
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	opts := experiment.Options{Seed: *seed, Scale: *scale}
-	namespace := storeNamespace(*storeNS)
-
-	if *cacheBench != "" {
-		if err := runCacheBench(sel, opts, *parallel, *storeDir, *storeMaxMB, namespace, *cacheBench); err != nil {
-			log.Fatal(err)
-		}
-		if err := stopObs(); err != nil {
-			log.Fatal(err)
-		}
-		return
+	// From here every exit — success, a failed experiment, an
+	// interrupt — goes through stop once, so profiles and metrics cover
+	// exactly the runs that need them.
+	skipped, err := sweep(sel, sweepParams{
+		Options:    experiment.Options{Seed: *seed, Scale: *scale},
+		Parallel:   *parallel,
+		OutDir:     *out,
+		Manifest:   *manifest,
+		StoreDir:   *storeDir,
+		StoreMaxMB: *storeMaxMB,
+		Namespace:  storeNamespace(*storeNS),
+		Verbose:    *verbose,
+	})
+	if err := errors.Join(err, stop()); err != nil {
+		log.Fatal(err)
 	}
+	if skipped > 0 {
+		log.Printf("interrupted: %d experiments skipped; manifest (if any) is partial", skipped)
+		os.Exit(1)
+	}
+}
 
+// sweepParams configures one registry sweep.
+type sweepParams struct {
+	Options    experiment.Options
+	Parallel   int
+	OutDir     string // per-figure CSV directory ("" skips)
+	Manifest   string // run manifest path ("" skips)
+	StoreDir   string // result store directory ("" disables)
+	StoreMaxMB int64
+	Namespace  string
+	Verbose    bool
+}
+
+// sweep regenerates sel, streaming each rendered artifact in registry
+// order, and writes the manifest. It returns how many experiments an
+// interrupt skipped, and the first experiment error.
+func sweep(sel []experiment.Experiment, p sweepParams) (skipped int, err error) {
 	var resultStore *store.Store
-	if *storeDir != "" {
-		resultStore, err = store.Open(*storeDir, store.Config{MaxBytes: *storeMaxMB << 20, Metrics: "store"})
-		if err != nil {
-			log.Fatal(err)
+	if p.StoreDir != "" {
+		if resultStore, err = store.Open(p.StoreDir, store.Config{MaxBytes: p.StoreMaxMB << 20, Metrics: "store"}); err != nil {
+			return 0, err
 		}
 	}
 
@@ -299,11 +289,11 @@ func main() {
 
 	start := time.Now()
 	results := experiment.Sweep(ctx, sel, experiment.SweepConfig{
-		Options:        opts,
-		Parallel:       *parallel,
-		OutDir:         *out,
+		Options:        p.Options,
+		Parallel:       p.Parallel,
+		OutDir:         p.OutDir,
 		Cache:          resultStore,
-		CacheNamespace: namespace,
+		CacheNamespace: p.Namespace,
 		OnResult: func(_ int, r experiment.RunResult) {
 			if r.Err != nil {
 				return // reported after the sweep
@@ -322,7 +312,7 @@ func main() {
 
 	// The manifest is written before any error/interrupt reporting so a
 	// cancelled run keeps its completed entries (skipped slots marked).
-	completed, skipped, cached := 0, 0, 0
+	completed, cached := 0, 0
 	var firstErr error
 	for _, r := range results {
 		switch {
@@ -339,17 +329,17 @@ func main() {
 			}
 		}
 	}
-	if *manifest != "" {
-		if err := experiment.NewManifest(opts, results).WriteFile(*manifest); err != nil {
-			log.Fatal(err)
+	if p.Manifest != "" {
+		if err := experiment.NewManifest(p.Options, results).WriteFile(p.Manifest); err != nil {
+			return skipped, err
 		}
-		fmt.Printf("wrote manifest %s (%d experiments, %d skipped)\n", *manifest, len(results), skipped)
+		fmt.Printf("wrote manifest %s (%d experiments, %d skipped)\n", p.Manifest, len(results), skipped)
 	}
 	if firstErr != nil {
-		log.Fatal(firstErr)
+		return skipped, firstErr
 	}
 	fmt.Printf("regenerated %d artifacts (%d from store) in %v\n", completed, cached, time.Since(start).Round(time.Millisecond))
-	if *verbose {
+	if p.Verbose {
 		st := runner.Default.Stats()
 		fmt.Printf("scenario pool: %d submissions, %d memo hits, %d misses, %d evictions, %d in flight, %d flushes\n",
 			st.Submissions, st.MemoHits, st.MemoMisses, st.MemoEvictions, st.InFlight, st.Flushes)
@@ -359,12 +349,5 @@ func main() {
 				ss.Hits, ss.Misses, ss.Writes, ss.Evictions, ss.Corrupt, resultStore.Len(), resultStore.Size())
 		}
 	}
-	if err := stopObs(); err != nil {
-		log.Fatal(err)
-	}
-	if skipped > 0 {
-		stopProf()
-		log.Printf("interrupted: %d experiments skipped; manifest (if any) is partial", skipped)
-		os.Exit(1)
-	}
+	return skipped, nil
 }

@@ -32,7 +32,7 @@ type loadgenParams struct {
 	Out       string // report path; empty skips the write
 }
 
-// serveReport is the BENCH_serve.json schema.
+// serveReport is the schema of the report -out writes.
 type serveReport struct {
 	Target    string `json:"target"`
 	InProcess bool   `json:"in_process"`
@@ -129,11 +129,13 @@ func buildWork(p loadgenParams) ([]streamWork, error) {
 		ss := &streams[i]
 		w := &work[i]
 		w.id = ss.ID
-		w.wantDigest = core.Correlate(ss.Input).PacketsDigest()
+		rep := core.Correlate(ss.Input)
+		w.wantDigest = rep.PacketsDigest()
 		w.cfg = session.Config{
-			Input:    ss.Input,
-			Cell:     fmt.Sprintf("cell%d", ss.Cell),
-			Workload: string(ss.Workload),
+			Input:      ss.Input,
+			Cell:       fmt.Sprintf("cell%d", ss.Cell),
+			Workload:   string(ss.Workload),
+			FlushAfter: flushAfter(rep, p.Tick),
 		}
 		w.cfg.Input.Sender, w.cfg.Input.Core, w.cfg.Input.TBs = nil, nil, nil
 		for _, ch := range ss.Chunks(p.Tick) {
@@ -148,6 +150,30 @@ func buildWork(p loadgenParams) ([]streamWork, error) {
 		}
 	}
 	return work, nil
+}
+
+// flushAfter is a stream's session flush horizon: zero, which keeps the
+// correlator's default, or, for a stream whose slowest packet takes
+// longer than that to reach the core (a bulk-transfer uplink queue can
+// hold packets for 600 ms and more), that delay rounded up to a tick
+// plus one tick. A packet emitted before its core record arrives is
+// reported as lost, so a horizon below the stream's worst delay would
+// make the streamed attribution differ from the offline one.
+func flushAfter(rep *core.Report, tick time.Duration) time.Duration {
+	if tick <= 0 {
+		tick = 100 * time.Millisecond // the interval Chunks falls back to
+	}
+	var worst time.Duration
+	for i := range rep.Packets {
+		if v := &rep.Packets[i]; v.SeenCore {
+			worst = max(worst, v.CoreAt-v.SentAt)
+		}
+	}
+	h := (worst+tick-1)/tick*tick + tick
+	if h <= core.NewLive(core.Input{}, nil).FlushAfter {
+		return 0
+	}
+	return h
 }
 
 // runLoadgen replays the tapped streams into the target server across

@@ -23,7 +23,7 @@
 // feed — a cryptographic end-to-end check that service-mode Athena and
 // paper-mode Athena are the same estimator. Throughput (sessions per
 // core-second) and ingest latency (client POST p99 and server feed p99)
-// land in BENCH_serve.json.
+// land in the -out report (default BENCH_serve.json).
 package main
 
 import (

@@ -82,28 +82,33 @@ func TestLoadgenEndToEndSharded(t *testing.T) {
 // one UE per app family — through the service: SessionStreams and the
 // streamed-vs-offline digest check are workload-agnostic, so every
 // family's session must verify over real HTTP exactly like VCA.
+//
+// The seed-4 two-cell case has bulk-transfer packets that reach the core
+// more than the correlator's default 500 ms flush horizon after they are
+// sent; each session's horizon must cover its own stream's worst delay
+// or those packets stream out as lost.
 func TestLoadgenMixedWorkloads(t *testing.T) {
-	p := loadgenParams{
-		Sessions:  4,
-		UEs:       4,
-		Workloads: "mixed",
-		Duration:  2 * time.Second,
-		Tick:      100 * time.Millisecond,
-		Seed:      1,
-		Workers:   2,
-	}
-	rep, err := runLoadgen(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Streams != 4 {
-		t.Fatalf("tapped %d streams, want 4", rep.Streams)
-	}
-	if rep.Workloads != "mixed" {
-		t.Fatalf("report workloads %q, want mixed", rep.Workloads)
-	}
-	if rep.DigestMatches != p.Sessions {
-		t.Fatalf("digest matches %d, want %d", rep.DigestMatches, p.Sessions)
+	for _, p := range []loadgenParams{
+		{Sessions: 4, UEs: 4, Seed: 1},
+		{Sessions: 8, UEs: 8, Cells: 2, Seed: 4},
+	} {
+		p.Workloads = "mixed"
+		p.Duration = 2 * time.Second
+		p.Tick = 100 * time.Millisecond
+		p.Workers = 2
+		rep, err := runLoadgen(p)
+		if err != nil {
+			t.Fatalf("%d UEs / %d cells, seed %d: %v", p.UEs, p.Cells, p.Seed, err)
+		}
+		if rep.Streams != p.UEs {
+			t.Fatalf("tapped %d streams, want %d", rep.Streams, p.UEs)
+		}
+		if rep.Workloads != "mixed" {
+			t.Fatalf("report workloads %q, want mixed", rep.Workloads)
+		}
+		if rep.DigestMatches != p.Sessions {
+			t.Fatalf("digest matches %d, want %d", rep.DigestMatches, p.Sessions)
+		}
 	}
 
 	if _, err := buildWork(loadgenParams{UEs: 1, Workloads: "bogus", Duration: time.Second, Tick: time.Second}); err == nil {

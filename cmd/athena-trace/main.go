@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strconv"
@@ -23,7 +25,6 @@ import (
 	"athena"
 	"athena/internal/obs"
 	"athena/internal/packet"
-	"athena/internal/profiling"
 	"athena/internal/ran"
 	"athena/internal/trace"
 	"athena/internal/units"
@@ -40,30 +41,13 @@ func main() {
 	cross := flag.Bool("cross", false, "enable the paper's cross-traffic phase schedule (time-compressed)")
 	sched := flag.String("sched", "combined", "uplink scheduler: combined|bsr|proactive|appaware|oracle")
 	flows := flag.String("flows", "", "comma-separated flow IDs; restrict dumped capture records to these flows")
-	prof := profiling.AddFlags(flag.CommandLine)
-	obsFlags := obs.AddCLIFlags(flag.CommandLine)
+	cli := obs.AddCLIFlags(flag.CommandLine)
 	flag.Parse()
 
 	keepFlow, err := parseFlows(*flows)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	stopProf, err := profiling.StartConfig(*prof)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer stopProf()
-
-	stopObs, err := obsFlags.Start()
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer func() {
-		if err := stopObs(); err != nil {
-			log.Print(err)
-		}
-	}()
 
 	cfg := athena.DefaultConfig()
 	cfg.Duration = *duration
@@ -98,6 +82,11 @@ func main() {
 		*seeds = 1
 	}
 
+	stop, err := cli.Start()
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	// Simulate every requested seed up front — the runner fans them across
 	// the cores — then write the trace files serially per seed.
 	cfgs := make([]athena.Config, *seeds)
@@ -112,7 +101,14 @@ func main() {
 		if *seeds > 1 {
 			prefix = fmt.Sprintf("%s.s%d", *out, cfgs[i].Seed)
 		}
-		dump(prefix, res, keepFlow)
+		if err = dump(prefix, res, keepFlow); err != nil {
+			break
+		}
+	}
+	// Every exit after Start goes through stop once, so a failed dump
+	// still leaves complete profiles and metrics.
+	if err := errors.Join(err, stop()); err != nil {
+		log.Fatal(err)
 	}
 }
 
@@ -140,7 +136,7 @@ func parseFlows(s string) (map[uint32]bool, error) {
 	return keep, nil
 }
 
-func dump(out string, res *athena.Result, keepFlow map[uint32]bool) {
+func dump(out string, res *athena.Result, keepFlow map[uint32]bool) error {
 	var records []packet.Record
 	records = append(records, res.CapSender.Records...)
 	records = append(records, res.CapCore.Records...)
@@ -158,20 +154,30 @@ func dump(out string, res *athena.Result, keepFlow map[uint32]bool) {
 
 	var tbs = res.RAN.Telemetry.SnifferView()
 
-	write := func(name string, fn func(f *os.File) error) {
+	evs := trace.Merge(records, tbs)
+	files := []struct {
+		suffix string
+		write  func(io.Writer) error
+	}{
+		{".packets.csv", func(w io.Writer) error { return trace.WritePacketCSV(w, records) }},
+		{".tbs.csv", func(w io.Writer) error { return trace.WriteTBCSV(w, tbs) }},
+		{".trace.jsonl", func(w io.Writer) error { return trace.WriteJSON(w, evs) }},
+	}
+	for _, file := range files {
+		name := out + file.suffix
 		f, err := os.Create(name)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		defer f.Close()
-		if err := fn(f); err != nil {
-			log.Fatal(err)
+		if err := file.write(f); err != nil {
+			f.Close()
+			return fmt.Errorf("writing %s: %w", name, err)
+		}
+		if err := f.Close(); err != nil {
+			return err
 		}
 		fmt.Printf("wrote %s\n", name)
 	}
-	write(out+".packets.csv", func(f *os.File) error { return trace.WritePacketCSV(f, records) })
-	write(out+".tbs.csv", func(f *os.File) error { return trace.WriteTBCSV(f, tbs) })
-	evs := trace.Merge(records, tbs)
-	write(out+".trace.jsonl", func(f *os.File) error { return trace.WriteJSON(f, evs) })
 	fmt.Println(trace.Summary(evs))
+	return nil
 }

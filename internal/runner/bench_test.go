@@ -20,7 +20,9 @@ func benchConfigs(n int) []scenario.Config {
 }
 
 // BenchmarkRunAllSerial is the single-worker reference for the parallel
-// speedup trajectory (BENCH_baseline.json).
+// speedup of BenchmarkRunAllParallel. End to end, the pool's cost is
+// runner.cpu_s and runner.queue_wait_p99_ms of
+// python3 perfbench/run.py --workload sweep --trace 1.
 func BenchmarkRunAllSerial(b *testing.B) {
 	cfgs := benchConfigs(8)
 	b.ResetTimer()

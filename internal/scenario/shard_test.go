@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -23,22 +24,48 @@ func shortShardedTopology(seed int64) Topology {
 	return top
 }
 
+// pairedHandoverTopology spreads ues round-robin over cells and hands
+// the first handovers UEs over at half-time to their paired cell
+// (c ↔ c^1). Pairing keeps the handover domains small: cells merge at
+// most two at a time, so the run stays sharded instead of collapsing
+// into one engine.
+func pairedHandoverTopology(ues, cells, handovers int, dur time.Duration) Topology {
+	top := NewMultiCellTopology(ues, cells)
+	top.Duration = dur
+	for i := 0; i < handovers; i++ {
+		top.UEs[i].Handovers = []Handover{{At: dur / 2, ToCell: top.UEs[i].Cell ^ 1}}
+	}
+	return top
+}
+
 // TestShardedDigestsMatchSerial is the golden determinism claim of the
 // sharded engine: serial and parallel shard advancement must produce
 // byte-identical digests, across seeds, with interference coupling and
-// a handover in play.
+// a handover in play, and at 100 UEs over four cells with four paired
+// handovers.
 func TestShardedDigestsMatchSerial(t *testing.T) {
+	type tcase struct {
+		name string
+		top  Topology
+	}
+	var cases []tcase
 	for _, seed := range []int64{1, 7, 1234} {
-		serialTop := shortShardedTopology(seed)
+		cases = append(cases, tcase{fmt.Sprintf("6ue-3cell-seed%d", seed), shortShardedTopology(seed)})
+	}
+	cases = append(cases, tcase{"100ue-4cell", pairedHandoverTopology(100, 4, 4, 2*time.Second)})
+	for _, c := range cases {
+		serialTop := c.top
 		serialTop.Serial = true
 		serial := RunTopology(serialTop).Digest()
 
-		parTop := shortShardedTopology(seed)
+		parTop := c.top
 		parTop.Serial = false
-		parallel := RunTopology(parTop).Digest()
-
-		if serial != parallel {
-			t.Fatalf("seed %d: serial digest %s != parallel digest %s", seed, serial, parallel)
+		parRes := RunTopology(parTop)
+		if len(parRes.Shards) < 2 {
+			t.Fatalf("%s: ran %d shards, want a sharded run", c.name, len(parRes.Shards))
+		}
+		if parallel := parRes.Digest(); serial != parallel {
+			t.Fatalf("%s: serial digest %s != parallel digest %s", c.name, serial, parallel)
 		}
 	}
 }

@@ -173,9 +173,9 @@ func (ub *ueBuild) handleNTPReply(s *sim.Simulator, p *packet.Packet) bool {
 
 // FamilyDigests hashes each workload family's correlated output
 // separately (the writeUEDigest rendering, restricted to that family's
-// UEs in global order). The scale-out bench compares these per family
-// between serial and sharded execution, so a digest drift names the
-// family that diverged instead of one opaque topology hash.
+// UEs in global order). TestMixedShardedMatchesSerial compares these
+// per family between serial and sharded execution, so a digest drift
+// names the family that diverged instead of one opaque topology hash.
 func (tr *TopologyResult) FamilyDigests() map[WorkloadKind]string {
 	raw := make(map[WorkloadKind]hash.Hash)
 	for _, u := range tr.UEs {

@@ -142,29 +142,32 @@ func TestMixedCellDeterministic(t *testing.T) {
 
 // TestMixedShardedMatchesSerial extends the sharded-equivalence bar to
 // mixed-family topologies: serial and parallel shard advancement must
-// agree on the full digest and on every per-family digest.
+// agree on the full digest and on every per-family digest, with the 8
+// UEs static over two cells and with the first two handed over at
+// half-time to the paired cell.
 func TestMixedShardedMatchesSerial(t *testing.T) {
-	top := NewMultiCellTopology(8, 2)
-	top.Duration = 2 * time.Second
-	top.MixWorkloads()
+	for _, handovers := range []int{0, 2} {
+		top := pairedHandoverTopology(8, 2, handovers, 2*time.Second)
+		top.MixWorkloads()
 
-	ser := top
-	ser.Serial = true
-	rs := RunTopology(ser)
-	par := top
-	par.Serial = false
-	rp := RunTopology(par)
+		ser := top
+		ser.Serial = true
+		rs := RunTopology(ser)
+		par := top
+		par.Serial = false
+		rp := RunTopology(par)
 
-	if ds, dp := rs.Digest(), rp.Digest(); ds != dp {
-		t.Fatalf("mixed sharded digest mismatch: serial %s vs parallel %s", ds, dp)
-	}
-	fs, fp := rs.FamilyDigests(), rp.FamilyDigests()
-	if len(fs) != 4 || len(fp) != 4 {
-		t.Fatalf("family digests incomplete: %d serial, %d parallel", len(fs), len(fp))
-	}
-	for k, v := range fs {
-		if fp[k] != v {
-			t.Fatalf("family %s digest mismatch: serial %s vs parallel %s", k, v, fp[k])
+		if ds, dp := rs.Digest(), rp.Digest(); ds != dp {
+			t.Fatalf("%d handovers: mixed sharded digest mismatch: serial %s vs parallel %s", handovers, ds, dp)
+		}
+		fs, fp := rs.FamilyDigests(), rp.FamilyDigests()
+		if len(fs) != 4 || len(fp) != 4 {
+			t.Fatalf("%d handovers: family digests incomplete: %d serial, %d parallel", handovers, len(fs), len(fp))
+		}
+		for k, v := range fs {
+			if fp[k] != v {
+				t.Fatalf("%d handovers: family %s digest mismatch: serial %s vs parallel %s", handovers, k, v, fp[k])
+			}
 		}
 	}
 }
